@@ -2,42 +2,11 @@
 //! 2,239-node cluster processing a backfill pass with a 100-deep pilot
 //! queue — the operation whose cadence bounds the whole day simulation.
 
-use cluster::{
-    ClusterEvent, ClusterNote, ClusterSim, JobId, JobKind, JobSpec, SlurmConfig, Timeline,
-};
+use cluster::{ClusterEvent, ClusterNote, ClusterSim, JobId, JobKind, JobSpec, Timeline};
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
-use hpcwhisk_core::{lengths, FibManager, PilotManager};
+use hpcwhisk_bench::loaded_cluster;
 use simcore::{Outbox, SimDuration, SimTime};
 use std::hint::black_box;
-
-/// A 2,239-node cluster, ~95% occupied by HPC jobs, with a full pilot
-/// queue waiting.
-fn loaded_cluster() -> ClusterSim {
-    let mut sim = ClusterSim::new(SlurmConfig::default(), 2_239, 1);
-    let mut out = Outbox::new(SimTime::ZERO);
-    let mut notes = Vec::new();
-    // Occupy most nodes with pinned demand.
-    for n in 0..2_128u32 {
-        sim.force_start(
-            SimTime::ZERO,
-            JobSpec::pinned_demand(
-                vec![cluster::NodeId(n)],
-                SimTime::ZERO,
-                SimTime::ZERO,
-                SimDuration::from_hours(8),
-                SimDuration::from_hours(7),
-            ),
-            &mut out,
-            &mut notes,
-        );
-    }
-    // Fill the pilot queue the way the fib manager would.
-    let mut mgr = FibManager::paper(lengths::A1.to_vec());
-    for spec in mgr.replenish(&sim) {
-        sim.submit(SimTime::ZERO, spec, &mut out);
-    }
-    sim
-}
 
 /// The loaded cluster with its persistent scheduling plane warmed by
 /// one full backfill pass, plus the pilots that pass started.

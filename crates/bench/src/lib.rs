@@ -187,6 +187,40 @@ pub fn section(title: &str) {
     println!("\n=== {title} ===\n");
 }
 
+/// The scheduler bench fixture: a 2,239-node cluster, ~95% occupied by
+/// pinned HPC demand, with a full fib pilot queue waiting — the shape
+/// both `benches/scheduler.rs` and the `perf_trajectory` scheduler
+/// probes time passes on.
+pub fn loaded_cluster() -> cluster::ClusterSim {
+    use cluster::{ClusterSim, JobSpec, NodeId, SlurmConfig};
+    use hpcwhisk_core::{lengths, FibManager, PilotManager};
+    use simcore::{Outbox, SimDuration, SimTime};
+    let mut sim = ClusterSim::new(SlurmConfig::default(), 2_239, 1);
+    let mut out = Outbox::new(SimTime::ZERO);
+    let mut notes = Vec::new();
+    // Occupy most nodes with pinned demand.
+    for n in 0..2_128u32 {
+        sim.force_start(
+            SimTime::ZERO,
+            JobSpec::pinned_demand(
+                vec![NodeId(n)],
+                SimTime::ZERO,
+                SimTime::ZERO,
+                SimDuration::from_hours(8),
+                SimDuration::from_hours(7),
+            ),
+            &mut out,
+            &mut notes,
+        );
+    }
+    // Fill the pilot queue the way the fib manager would.
+    let mut mgr = FibManager::paper(lengths::A1.to_vec());
+    for spec in mgr.replenish(&sim) {
+        sim.submit(SimTime::ZERO, spec, &mut out);
+    }
+    sim
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

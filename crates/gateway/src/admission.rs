@@ -155,13 +155,11 @@ pub struct ShardAdmission {
 /// concentrate on one line between over-the-burst rebalances.
 const REBALANCE_WINDOW: u32 = 8;
 
-/// EWMA smoothing for the adaptive measured-throughput rate.
-const EWMA_ALPHA: f64 = 0.3;
-
-/// Floor for the adaptive per-invoker rate: keeps `cost_ns` finite
-/// (≤ 1 s per admission per invoker) when a window measures zero
-/// completions.
-const MIN_ADAPTIVE_RATE: f64 = 1.0;
+/// Bucket shards of the gateway's shaper: each submitter thread is
+/// affine to one (`slot % ADMISSION_SHARDS`), so up to this many
+/// submitters never CAS a shared `tat` line. The 1-shard single-line
+/// reference lives on in this module's differential tests.
+pub(crate) const ADMISSION_SHARDS: usize = 4;
 
 /// One shard of the bucket: a GCRA theoretical-arrival-time line plus
 /// its outcome counters, padded so submitter threads affine to
@@ -228,16 +226,6 @@ pub(crate) struct AdmissionShaper {
     /// shard between spreads); production uses [`REBALANCE_WINDOW`],
     /// the differential tests tighten it to 1.
     rebalance_window: u32,
-    /// Drive `cost_ns` from the measured-throughput EWMA instead of
-    /// the configured `rate_per_invoker` (see
-    /// [`observe_service_rate`](Self::observe_service_rate)).
-    adaptive: bool,
-    /// Last capacity fed to [`set_capacity`](Self::set_capacity), for
-    /// adaptive recomputes.
-    n_healthy: AtomicUsize,
-    /// EWMA of measured per-invoker completions/s as `f64` bits; zero
-    /// means no window observed yet (fall back to the configured rate).
-    ewma_rate: AtomicU64,
     /// Cumulative virtual delay charged to admitted requests, in
     /// nanoseconds (exposed as `gateway_shaper_charged_delay_ns_total`).
     charged_ns: Arc<Counter>,
@@ -252,14 +240,9 @@ pub(crate) struct AdmissionShaper {
 }
 
 impl AdmissionShaper {
-    /// Build with an explicit shard count (clamped to `1..=64`) and
-    /// the adaptive-rate flag.
-    pub(crate) fn with_shards(
-        policy: &AdmissionPolicy,
-        t0: Instant,
-        n_shards: usize,
-        adaptive: bool,
-    ) -> Self {
+    /// Build with an explicit shard count (clamped to `1..=64`); the
+    /// gateway passes [`ADMISSION_SHARDS`].
+    pub(crate) fn with_shards(policy: &AdmissionPolicy, t0: Instant, n_shards: usize) -> Self {
         let cfg = match policy {
             AdmissionPolicy::HardShed => None,
             AdmissionPolicy::TokenBucket(cfg) => {
@@ -278,9 +261,6 @@ impl AdmissionShaper {
                 c.max_delay.as_nanos().min(u128::from(u64::MAX)) as u64
             }),
             rebalance_window: REBALANCE_WINDOW,
-            adaptive,
-            n_healthy: AtomicUsize::new(1),
-            ewma_rate: AtomicU64::new(0),
             charged_ns: Arc::new(Counter::new()),
             cas_retries: Arc::new(Counter::new()),
             rebalances: Arc::new(Counter::new()),
@@ -304,19 +284,6 @@ impl AdmissionShaper {
         SUBMITTER_SLOT.with(|s| s.set(slot));
     }
 
-    /// The per-invoker rate the bucket is currently sized from: the
-    /// measured-throughput EWMA when adaptive and at least one window
-    /// has been observed, else the configured `rate_per_invoker`.
-    fn effective_rate(&self, cfg: &TokenBucketCfg) -> f64 {
-        if self.adaptive {
-            let bits = self.ewma_rate.load(Ordering::Relaxed);
-            if bits != 0 {
-                return f64::from_bits(bits).max(MIN_ADAPTIVE_RATE);
-            }
-        }
-        cfg.rate_per_invoker
-    }
-
     /// Recompute the rate for `n_healthy` routable invokers. Zero
     /// capacity is clamped to one invoker's worth: with no invoker at
     /// all the router sheds `NoInvoker` first, and keeping the cost
@@ -326,32 +293,9 @@ impl AdmissionShaper {
     /// grant or revoke reprices all shards at once.
     pub(crate) fn set_capacity(&self, n_healthy: usize) {
         let Some(cfg) = &self.cfg else { return };
-        let n = n_healthy.max(1);
-        self.n_healthy.store(n, Ordering::Relaxed);
-        let rate = self.effective_rate(cfg) * n as f64;
+        let rate = cfg.rate_per_invoker * n_healthy.max(1) as f64;
         self.cost_ns
             .store((1e9 / rate).max(1.0) as u64, Ordering::Relaxed);
-    }
-
-    /// Feed one window of measured completion throughput (adaptive
-    /// mode only): folds `completed / window / n_healthy` into the
-    /// per-invoker EWMA and reprices the bucket. A window with zero
-    /// completions drags the rate toward the floor rather than
-    /// dividing by zero. No-op unless the shaper was built adaptive.
-    pub(crate) fn observe_service_rate(&self, completed: u64, window: Duration) {
-        let Some(cfg) = &self.cfg else { return };
-        if !self.adaptive || window.is_zero() {
-            return;
-        }
-        let n = self.n_healthy.load(Ordering::Relaxed).max(1);
-        let measured = completed as f64 / window.as_secs_f64() / n as f64;
-        let prev = match self.ewma_rate.load(Ordering::Relaxed) {
-            0 => cfg.rate_per_invoker,
-            bits => f64::from_bits(bits),
-        };
-        let next = (EWMA_ALPHA * measured + (1.0 - EWMA_ALPHA) * prev).max(MIN_ADAPTIVE_RATE);
-        self.ewma_rate.store(next.to_bits(), Ordering::Relaxed);
-        self.set_capacity(n);
     }
 
     /// Shape one admission at `now` on the calling thread's affine
@@ -580,8 +524,8 @@ impl AdmissionShaper {
         self.rebalance_window = w.max(1);
     }
 
-    /// Current effective per-admission cost in ns (test-only: the
-    /// adaptive stepped test asserts on the repriced bucket).
+    /// Current per-admission cost in ns (test-only: the differential
+    /// bound is stated in cost quanta).
     #[cfg(test)]
     pub(crate) fn cost_ns(&self) -> u64 {
         self.cost_ns.load(Ordering::Relaxed)
@@ -640,14 +584,17 @@ mod tests {
             }),
             t0,
             shards,
-            false,
         );
         (s, t0)
     }
 
     #[test]
     fn hard_shed_policy_is_inert() {
-        let s = AdmissionShaper::with_shards(&AdmissionPolicy::HardShed, Instant::now(), 4, false);
+        let s = AdmissionShaper::with_shards(
+            &AdmissionPolicy::HardShed,
+            Instant::now(),
+            ADMISSION_SHARDS,
+        );
         assert!(!s.shaping());
         for _ in 0..10_000 {
             assert_eq!(
@@ -883,87 +830,6 @@ mod tests {
         assert!(accepted >= 40, "pathologically conservative: {accepted}");
     }
 
-    #[test]
-    fn adaptive_rate_steps_toward_measured_throughput() {
-        // The configured rate overestimates the real service rate 2×:
-        // 2000/s configured, 1000/s measured. The EWMA must walk
-        // cost_ns from 0.5 ms to ~1 ms monotonically and settle.
-        let t0 = Instant::now();
-        let s = AdmissionShaper::with_shards(
-            &AdmissionPolicy::TokenBucket(TokenBucketCfg {
-                rate_per_invoker: 2_000.0,
-                burst: 4.0,
-                max_delay: Duration::from_millis(50),
-            }),
-            t0,
-            4,
-            true,
-        );
-        s.set_capacity(1);
-        assert_eq!(s.cost_ns(), 500_000, "configured rate until a window lands");
-        let mut last = s.cost_ns();
-        for step in 0..20 {
-            // Each 1-s window measures 1000 completions on 1 invoker.
-            s.observe_service_rate(1_000, Duration::from_secs(1));
-            let c = s.cost_ns();
-            assert!(c >= last, "cost approaches monotonically (step {step})");
-            last = c;
-        }
-        assert!(
-            (980_000..=1_020_000).contains(&last),
-            "EWMA settled at the measured rate: cost {last} ns"
-        );
-        // Repricing scales with capacity exactly as the configured
-        // path does.
-        s.set_capacity(2);
-        assert!(
-            (490_000..=510_000).contains(&s.cost_ns()),
-            "adaptive rate × 2 invokers: {} ns",
-            s.cost_ns()
-        );
-    }
-
-    #[test]
-    fn adaptive_flag_off_ignores_observations() {
-        let (s, _t0) = shaper(2_000.0, 4.0, Duration::from_millis(50));
-        let before = {
-            s.set_capacity(1);
-            s.cost_ns()
-        };
-        s.observe_service_rate(10, Duration::from_secs(1));
-        assert_eq!(
-            s.cost_ns(),
-            before,
-            "observations are inert without the flag"
-        );
-    }
-
-    #[test]
-    fn adaptive_zero_window_survives_and_floors() {
-        let t0 = Instant::now();
-        let s = AdmissionShaper::with_shards(
-            &AdmissionPolicy::TokenBucket(TokenBucketCfg {
-                rate_per_invoker: 1_000.0,
-                burst: 1.0,
-                max_delay: Duration::from_millis(10),
-            }),
-            t0,
-            2,
-            true,
-        );
-        s.observe_service_rate(100, Duration::ZERO); // ignored
-        assert_eq!(s.cost_ns(), 1_000_000);
-        // Dead windows decay toward the floor but cost stays finite.
-        for _ in 0..200 {
-            s.observe_service_rate(0, Duration::from_secs(1));
-        }
-        assert!(
-            s.cost_ns() <= 1_000_000_000,
-            "cost bounded by the rate floor"
-        );
-        assert!(s.cost_ns() > 1_000_000, "dead windows steepened the charge");
-    }
-
     // ---- differential: sharded shape vs the single-line reference ----
 
     /// Replay one arrival schedule (offsets in ns, shard choices)
@@ -996,8 +862,8 @@ mod tests {
     ) {
         let t0 = Instant::now();
         let policy = AdmissionPolicy::TokenBucket(cfg);
-        let reference = AdmissionShaper::with_shards(&policy, t0, 1, false);
-        let mut sharded = AdmissionShaper::with_shards(&policy, t0, shards, false);
+        let reference = AdmissionShaper::with_shards(&policy, t0, 1);
+        let mut sharded = AdmissionShaper::with_shards(&policy, t0, shards);
         sharded.set_rebalance_window(window);
         let (r_adm, r_del, r_shed, r_charged) = replay(&reference, t0, schedule);
         let (s_adm, s_del, s_shed, s_charged) = replay(&sharded, t0, schedule);
@@ -1043,8 +909,7 @@ mod tests {
     /// burst boundary (0) or the shed boundary (`max_delay`): the only
     /// arrivals whose decision the rebalance bound allows to flip.
     fn count_fragile(t0: Instant, schedule: &[(u64, usize)], cfg: TokenBucketCfg, w: u64) -> u64 {
-        let reference =
-            AdmissionShaper::with_shards(&AdmissionPolicy::TokenBucket(cfg), t0, 1, false);
+        let reference = AdmissionShaper::with_shards(&AdmissionPolicy::TokenBucket(cfg), t0, 1);
         let cost = reference.cost_ns();
         let burst_ns = (cfg.burst * cost as f64) as u64;
         let max_delay_ns = cfg.max_delay.as_nanos() as u64;

@@ -133,7 +133,6 @@ pub struct CapacityController<'g> {
     last_feedback: Duration,
     prev_arrivals: u64,
     prev_sheds: u64,
-    prev_completed: u64,
 }
 
 impl<'g> CapacityController<'g> {
@@ -163,7 +162,6 @@ impl<'g> CapacityController<'g> {
             last_feedback: Duration::ZERO,
             prev_arrivals: 0,
             prev_sheds: 0,
-            prev_completed: 0,
         }
     }
 
@@ -202,7 +200,6 @@ impl<'g> CapacityController<'g> {
         let c = self.gw.counters();
         let accepted = c.accepted.load(Ordering::Relaxed);
         let sheds = c.shed_total();
-        let completed = c.completed.load(Ordering::Relaxed);
         let arrivals = accepted + sheds;
         let fb = LoadFeedback {
             window: offset.saturating_sub(self.last_feedback),
@@ -211,14 +208,8 @@ impl<'g> CapacityController<'g> {
             outstanding: c.outstanding(),
             routable: self.n_routable(),
         };
-        // The same window drives the adaptive admission rate: measured
-        // completion throughput re-aims the token bucket (no-op unless
-        // the gateway was configured `adaptive_rate`).
-        self.gw
-            .observe_service_rate(completed.saturating_sub(self.prev_completed), fb.window);
         self.prev_arrivals = arrivals;
         self.prev_sheds = sheds;
-        self.prev_completed = completed;
         self.last_feedback = offset;
         fb
     }

@@ -8,19 +8,20 @@
 //!    instead of building unbounded queues.
 //! 2. **Routing** — one shard-local read lock, no global lock
 //!    ([`crate::route::Router`]).
-//! 3. **Queueing** — the home invoker's MPSC queue assigns the offset
-//!    ([`crate::queue::WorkQueue`], `mq` semantics).
+//! 3. **Queueing** — the home invoker's lock-free MPSC ring assigns the
+//!    offset ([`RingQueue`], `mq` semantics).
 //! 4. **Execution** — the invoker thread drains a **batch** of up to
-//!    `drain_batch` envelopes per lock acquisition, shared fast lane
-//!    first, topped up from its own queue; placement goes through its
-//!    private [`crate::pool::WarmPool`] (cold-start penalty,
+//!    `drain_batch` envelopes per pop, the shared MPMC fast lane
+//!    ([`WorkQueue`]) first, topped up from its ring; placement goes
+//!    through its private [`crate::pool::WarmPool`] (cold-start penalty,
 //!    keep-alive, LRU eviction) and the body runs for real.
 //! 5. **Completion** — one [`Completion`] per executed request,
 //!    carrying queue-wait/service/total latencies, published batch-wise
 //!    to the invoker's **private completion shard** (exactly one
 //!    producer per shard — there is no shared multi-producer point on
-//!    the completion path). Consumers sweep the shards round-robin via
-//!    [`Gateway::collect_completions`] / [`Gateway::recv_timeout`].
+//!    the completion path). Consumers sweep the shards round-robin
+//!    through a [`Collector`] ([`Gateway::collect_completions_with`] /
+//!    [`Gateway::collect_wait`]).
 //!
 //! Drain (`sigterm` → `join`): the controller atomically unroutes the
 //! invoker and flips its state; the invoker finishes the batch it has
@@ -31,13 +32,12 @@
 //! requests are never lost and never duplicated, at any batch size.
 
 use crate::action::{ActionId, ActionRegistry, ActionSpec};
-use crate::admission::{AdmissionPolicy, AdmissionShaper, Shape, ShardAdmission};
+use crate::admission::{AdmissionPolicy, AdmissionShaper, Shape, ShardAdmission, ADMISSION_SHARDS};
 use crate::pool::{Placement, PoolStats, WarmPool};
-use crate::queue::{Envelope, Produce, ProduceBatch, Request, WorkQueue};
+use crate::queue::{Envelope, ProduceBatch, Request, WorkQueue};
 use crate::ring::RingQueue;
-use crate::route::{mix64, Router};
+use crate::route::Router;
 use crate::telem::{BurstCounts, GatewayTelemetry, SlotTelem};
-use std::collections::VecDeque;
 use std::sync::atomic::{AtomicPtr, AtomicU32, AtomicU64, AtomicU8, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
@@ -178,25 +178,6 @@ pub struct GatewayConfig {
     /// atomic (or single-writer load+store) plus one array index per
     /// event; the bare leg of the overhead probe turns it off.
     pub telemetry: bool,
-    /// Shards of the token-bucket admission state (clamped to 1..=64).
-    /// Each submitter thread is affine to one shard and the shards
-    /// rebalance debt between themselves, so N submitters stop
-    /// CASing one shared `tat` cache line (see [`crate::admission`]).
-    /// 1 reproduces the single-line shaper exactly.
-    pub admission_shards: usize,
-    /// Drive the token bucket's per-invoker rate from an EWMA of
-    /// *measured* completion throughput instead of the configured
-    /// `rate_per_invoker` (first slice of adaptive admission). The
-    /// EWMA is fed by [`Gateway::observe_service_rate`] — the
-    /// capacity controller calls it on its feedback cadence. Until
-    /// the first observation the configured rate applies.
-    pub adaptive_rate: bool,
-    /// Use the Mutex+Condvar [`WorkQueue`] for the per-invoker home
-    /// queues instead of the lock-free [`RingQueue`] (the pre-ring
-    /// behaviour, kept as the differential/contention baseline). The
-    /// shared fast lane always uses `WorkQueue`: it is MPMC — every
-    /// invoker consumes it — which the MPSC ring does not support.
-    pub legacy_queues: bool,
 }
 
 impl Default for GatewayConfig {
@@ -210,9 +191,6 @@ impl Default for GatewayConfig {
             drain_batch: 32,
             admission: AdmissionPolicy::HardShed,
             telemetry: true,
-            admission_shards: 4,
-            adaptive_rate: false,
-            legacy_queues: false,
         }
     }
 }
@@ -221,66 +199,12 @@ const STATE_HEALTHY: u8 = 0;
 const STATE_DRAINING: u8 = 1;
 const STATE_GONE: u8 = 2;
 
-/// One invoker's home queue: the lock-free MPSC [`RingQueue`] by
-/// default, or the Mutex+Condvar [`WorkQueue`] under
-/// [`GatewayConfig::legacy_queues`] (kept as the differential and
-/// contention baseline). Both speak the same offset/`produced_at`
-/// protocol; the enum adapts the one difference — the ring's admission
-/// bound is fixed at construction while the legacy queue takes it per
-/// call.
-enum HomeQueue {
-    Ring(RingQueue),
-    Legacy(WorkQueue),
-}
-
-impl HomeQueue {
-    fn produce(&self, req: Request, produced_at: Instant, capacity: usize) -> Produce {
-        match self {
-            HomeQueue::Ring(q) => q.produce(req, produced_at),
-            HomeQueue::Legacy(q) => q.produce(req, produced_at, capacity),
-        }
-    }
-
-    fn produce_batch(
-        &self,
-        reqs: &[Request],
-        produced_at: Instant,
-        capacity: usize,
-    ) -> ProduceBatch {
-        match self {
-            HomeQueue::Ring(q) => q.produce_batch(reqs, produced_at),
-            HomeQueue::Legacy(q) => q.produce_batch(reqs, produced_at, capacity),
-        }
-    }
-
-    fn try_pop_batch(&self, out: &mut Vec<Envelope>, max: usize) -> usize {
-        match self {
-            HomeQueue::Ring(q) => q.try_pop_batch(out, max),
-            HomeQueue::Legacy(q) => q.try_pop_batch(out, max),
-        }
-    }
-
-    fn pop_timeout(&self, timeout: Duration) -> Option<Envelope> {
-        match self {
-            HomeQueue::Ring(q) => q.pop_timeout(timeout),
-            HomeQueue::Legacy(q) => q.pop_timeout(timeout),
-        }
-    }
-
-    fn close_and_drain(&self) -> Vec<Envelope> {
-        match self {
-            HomeQueue::Ring(q) => q.close_and_drain(),
-            HomeQueue::Legacy(q) => q.close_and_drain(),
-        }
-    }
-}
-
-/// The shared handle of one invoker: its state flag and its work queue.
+/// The shared handle of one invoker: its state flag and its home ring.
 pub struct InvokerHandle {
     /// Stable invoker id (unique per gateway, never reused).
     pub id: u64,
     state: AtomicU8,
-    queue: HomeQueue,
+    queue: RingQueue,
 }
 
 impl InvokerHandle {
@@ -312,11 +236,6 @@ struct Segment {
     batch: Vec<Completion>,
     next: *mut Segment,
 }
-
-/// The claim tag used by the shared-cursor collection API
-/// ([`Gateway::collect_completions`] / the `recv` convenience calls);
-/// dedicated [`Collector`] handles get tags ≥ 2.
-const ANON_COLLECTOR: u32 = 1;
 
 /// One invoker slot's completion buffer: a **lock-free** Treiber stack
 /// of batch segments. Exactly one producer at a time (the invoker
@@ -437,7 +356,7 @@ const N_CHUNKS: usize = 24;
 /// are only ever *added* (slot reuse reuses the same shard), so the
 /// table never moves an entry: readers locate a shard through one
 /// `Acquire` load of the published length plus one of the owning chunk
-/// pointer — `collect_completions` holds no lock at all. Writers
+/// pointer — a collector's sweep holds no lock at all. Writers
 /// (`Gateway::start_invoker`) are already serialized by the slots
 /// mutex; they allocate whole chunks of initialized shards and then
 /// publish the new length with a `Release` store, so any index below
@@ -530,10 +449,9 @@ impl Drop for ShardTable {
 /// The completion-wait gate: `seq` bumps on every shard publish and
 /// `waiters` counts parked collectors, so producers skip the condvar
 /// (and its futex) entirely while every collector is busy — the same
-/// waiter-counted-wake discipline as [`WorkQueue::pop_timeout`]. This
-/// replaces the old fixed 100 µs poll in [`Gateway::recv_timeout`] and
-/// the harness's completion-wait sleep: idle collectors park until a
-/// publish actually happens instead of burning a core each.
+/// waiter-counted-wake discipline as [`WorkQueue::pop_timeout`]:
+/// [`Gateway::collect_wait`] parks idle collectors until a publish
+/// actually happens instead of burning a core each.
 struct CompletionGate {
     seq: AtomicU64,
     waiters: AtomicUsize,
@@ -599,10 +517,6 @@ pub struct Collector {
     cursor: usize,
     tag: u32,
 }
-
-/// The shared round-robin cursor on its own cache line.
-#[repr(align(128))]
-struct SharedCursor(AtomicUsize);
 
 /// Caller-held scratch for [`Gateway::invoke_burst`]: the per-target
 /// buckets of a burst, kept across calls so their backing allocations
@@ -676,28 +590,11 @@ pub struct Gateway {
     /// append-only epoch-published table — collectors never take a lock
     /// (growth is serialized by the `slots` mutex).
     completion_shards: ShardTable,
-    /// Rotates the shard the *shared-cursor* collection sweep starts
-    /// at, so no invoker's completions are systematically served first.
-    /// Line-aligned: concurrent anonymous collectors bump it without
-    /// dirtying neighbouring fields. Dedicated [`Collector`] handles
-    /// carry their own cursor instead.
-    collect_cursor: SharedCursor,
     /// Completion-publish wake gate (waiter-counted; see
     /// [`CompletionGate`]). Shared with every invoker thread.
     gate: Arc<CompletionGate>,
-    /// Next tag handed to a [`Collector`] (tags ≥ 2; 1 is the
-    /// shared-cursor API, 0 means unclaimed).
+    /// Next tag handed to a [`Collector`] (0 means unclaimed).
     next_collector: AtomicU32,
-    /// Overflow for the one-at-a-time [`recv_timeout`]/[`try_recv`]
-    /// convenience API (a sweep can return more than one completion).
-    /// `spill_len` mirrors the queue length so the batch collection
-    /// paths skip the mutex entirely while the spill is empty — the
-    /// common case whenever the one-at-a-time API is not in use.
-    ///
-    /// [`recv_timeout`]: Gateway::recv_timeout
-    /// [`try_recv`]: Gateway::try_recv
-    spill: Mutex<VecDeque<Completion>>,
-    spill_len: AtomicUsize,
     counters: Arc<Counters>,
     /// The sharded token-bucket admission shaper (inert under
     /// `HardShed`); capacity is re-fed on every router rebuild.
@@ -718,12 +615,7 @@ impl Gateway {
     /// A gateway serving `actions`, with no invokers yet.
     pub fn new(cfg: GatewayConfig, actions: Vec<ActionSpec>) -> Self {
         let shards = cfg.shards;
-        let shaper = AdmissionShaper::with_shards(
-            &cfg.admission,
-            Instant::now(),
-            cfg.admission_shards,
-            cfg.adaptive_rate,
-        );
+        let shaper = AdmissionShaper::with_shards(&cfg.admission, Instant::now(), ADMISSION_SHARDS);
         let ring_full = Arc::new(Counter::new());
         let action_names: Vec<String> = actions.iter().map(|a| a.name.clone()).collect();
         let actions = ActionRegistry::new(actions);
@@ -753,11 +645,8 @@ impl Gateway {
             slots: Mutex::new(Vec::new()),
             fast: Arc::new(fast),
             completion_shards: ShardTable::new(),
-            collect_cursor: SharedCursor(AtomicUsize::new(0)),
             gate: Arc::new(CompletionGate::new()),
-            next_collector: AtomicU32::new(2),
-            spill: Mutex::new(VecDeque::new()),
-            spill_len: AtomicUsize::new(0),
+            next_collector: AtomicU32::new(1),
             counters: Arc::new(Counters::default()),
             shaper,
             ring_full,
@@ -795,7 +684,7 @@ impl Gateway {
     }
 
     /// Pin the calling thread's admission-shard affinity to
-    /// `slot % admission_shards`. The harness calls this with the
+    /// `slot % ADMISSION_SHARDS`. The harness calls this with the
     /// submitter index so shard affinity == submitter index; threads
     /// that never bind get a stable automatically-dealt slot. Affects
     /// only the calling thread, across every gateway it submits to.
@@ -809,17 +698,6 @@ impl Gateway {
     /// (the shards exist but never count).
     pub fn admission_shard_stats(&self) -> Vec<ShardAdmission> {
         self.shaper.shard_stats()
-    }
-
-    /// Feed one window of measured completion throughput into the
-    /// adaptive admission rate (no-op unless
-    /// [`GatewayConfig::adaptive_rate`] is set): `completed_delta`
-    /// completions observed over `window` re-aim the token bucket at
-    /// the *measured* per-invoker service rate instead of the
-    /// configured one. The capacity controller calls this on its
-    /// feedback cadence.
-    pub fn observe_service_rate(&self, completed_delta: u64, window: Duration) {
-        self.shaper.observe_service_rate(completed_delta, window);
     }
 
     /// Pending depth of the shared fast lane.
@@ -848,21 +726,15 @@ impl Gateway {
     pub fn start_invoker(&self) -> InvokerToken {
         let id = self.next_invoker.fetch_add(1, Ordering::Relaxed);
         let cap = self.cfg.queue_capacity;
-        let queue = match (self.cfg.legacy_queues, &self.telem) {
-            (false, Some(t)) => HomeQueue::Ring(RingQueue::with_telem(
+        let queue = match &self.telem {
+            Some(t) => RingQueue::with_telem(
                 cap,
                 t.queue_highwater.clone(),
                 t.queue_wakes.clone(),
                 self.ring_full.clone(),
                 id,
-            )),
-            (false, None) => HomeQueue::Ring(RingQueue::new(cap)),
-            (true, Some(t)) => HomeQueue::Legacy(WorkQueue::with_telem(
-                t.queue_highwater.clone(),
-                t.queue_wakes.clone(),
-                id,
-            )),
-            (true, None) => HomeQueue::Legacy(WorkQueue::new()),
+            ),
+            None => RingQueue::new(cap),
         };
         let handle = Arc::new(InvokerHandle {
             id,
@@ -928,27 +800,6 @@ impl Gateway {
         token
     }
 
-    /// Sweep every completion shard once, round-robin from a rotating
-    /// start, moving everything published so far into `out`. Returns
-    /// how many completions were collected. This is the consumer half
-    /// of the sharded completion path and it holds **no mutex**: the
-    /// shard list is epoch-published, each shard is a lock-free segment
-    /// stack, and the spill buffer is skipped through an atomic length
-    /// unless the one-at-a-time API actually left something there.
-    /// Concurrent callers share one rotating cursor and skip shards a
-    /// racing collector has claimed; threads collecting continuously
-    /// should prefer a dedicated [`Collector`] handle
-    /// ([`Gateway::collector`] + [`Gateway::collect_completions_with`]).
-    pub fn collect_completions(&self, out: &mut Vec<Completion>) -> usize {
-        let n = self.drain_spill(out);
-        let len = self.completion_shards.len();
-        if len == 0 {
-            return n;
-        }
-        let start = self.collect_cursor.0.fetch_add(1, Ordering::Relaxed) % len;
-        n + self.drain_shards(out, start, ANON_COLLECTOR)
-    }
-
     /// A dedicated collector handle: its own round-robin cursor (on its
     /// own cache line) and a unique shard-claim tag.
     pub fn collector(&self) -> Collector {
@@ -959,30 +810,51 @@ impl Gateway {
         }
     }
 
-    /// [`collect_completions`](Gateway::collect_completions) through a
-    /// dedicated [`Collector`]: no shared-cursor traffic, and shards
-    /// claimed by other collectors are skipped, so N collectors split
-    /// the shard space instead of serializing on it.
+    /// Non-blocking collect: sweep every completion shard once,
+    /// round-robin from the collector's rotating start, moving
+    /// everything published so far into `out`. Returns how many
+    /// completions were collected. Holds **no mutex**: the shard list
+    /// is epoch-published and each shard is a lock-free segment stack.
+    /// Shards claimed by other collectors are skipped, so N collectors
+    /// split the shard space instead of serializing on it.
     pub fn collect_completions_with(
         &self,
         col: &mut Collector,
         out: &mut Vec<Completion>,
     ) -> usize {
-        let n = self.drain_spill(out);
         let len = self.completion_shards.len();
         if len == 0 {
-            return n;
+            return 0;
         }
         let start = col.cursor % len;
         col.cursor = col.cursor.wrapping_add(1);
-        n + self.drain_shards(out, start, col.tag)
+        let mut n = 0;
+        let mut skipped = 0u64;
+        for i in 0..len {
+            let shard = self.completion_shards.get((start + i) % len);
+            if !shard.try_claim(col.tag) {
+                // Another collector owns this shard right now; its
+                // sweep takes whatever is pending. Contend on nothing.
+                skipped += 1;
+                continue;
+            }
+            n += shard.drain_into(out);
+            shard.release_claim();
+        }
+        if skipped > 0 {
+            if let Some(t) = &self.telem {
+                t.collect_claim_skips.add(skipped);
+            }
+        }
+        n
     }
 
     /// Blocking collect: sweep, and if nothing is pending park on the
     /// completion gate (waiter-counted — a publish wakes the collector,
     /// idle waits burn no CPU) until something lands or `timeout`
     /// elapses. Returns how many completions were moved into `out`
-    /// (0 on timeout).
+    /// (0 on timeout). A timeout too large to represent as a deadline
+    /// (e.g. `Duration::MAX`) waits until something lands.
     pub fn collect_wait(
         &self,
         col: &mut Collector,
@@ -991,6 +863,8 @@ impl Gateway {
     ) -> usize {
         let deadline = Instant::now().checked_add(timeout);
         loop {
+            // Epoch *before* the sweep: a publish racing the sweep moves
+            // it, so the wait below returns at once and we re-sweep.
             let seen = self.gate.epoch();
             let n = self.collect_completions_with(col, out);
             if n > 0 {
@@ -1010,255 +884,25 @@ impl Gateway {
         }
     }
 
-    /// The completion-publish epoch: bumps every time an invoker
-    /// publishes a batch. Pair with
-    /// [`wait_completions`](Gateway::wait_completions): read the epoch,
-    /// sweep, and if the sweep came up empty wait for the epoch to
-    /// move — a publish racing the sweep makes the wait return
-    /// immediately.
-    pub fn completion_epoch(&self) -> u64 {
-        self.gate.epoch()
-    }
-
-    /// Park until the completion epoch moves past `seen` or `timeout`
-    /// elapses (waiter-counted: producers skip the wake entirely while
-    /// nobody waits). See
-    /// [`completion_epoch`](Gateway::completion_epoch).
-    pub fn wait_completions(&self, seen: u64, timeout: Duration) {
-        self.gate.wait(seen, timeout);
-    }
-
-    /// Drain the one-at-a-time API's spill into `out`; the atomic
-    /// length check keeps the batch paths off the mutex while the spill
-    /// is empty.
-    fn drain_spill(&self, out: &mut Vec<Completion>) -> usize {
-        if self.spill_len.load(Ordering::Acquire) == 0 {
-            return 0;
-        }
-        let mut spill = self.spill.lock().unwrap_or_else(|e| e.into_inner());
-        let n = spill.len();
-        out.extend(spill.drain(..));
-        self.spill_len.store(0, Ordering::Release);
-        n
-    }
-
-    /// One round-robin sweep over the shards only (no spill), starting
-    /// at `start`, claiming each shard under `tag`. Lock-free.
-    fn drain_shards(&self, out: &mut Vec<Completion>, start: usize, tag: u32) -> usize {
-        let len = self.completion_shards.len();
-        if len == 0 {
-            return 0;
-        }
-        let mut n = 0;
-        let mut skipped = 0u64;
-        for i in 0..len {
-            let shard = self.completion_shards.get((start + i) % len);
-            if !shard.try_claim(tag) {
-                // Another collector owns this shard right now; its
-                // sweep takes whatever is pending. Contend on nothing.
-                skipped += 1;
-                continue;
-            }
-            n += shard.drain_into(out);
-            shard.release_claim();
-        }
-        if skipped > 0 {
-            if let Some(t) = &self.telem {
-                t.collect_claim_skips.add(skipped);
-            }
-        }
-        n
-    }
-
-    /// Pop one completion, sweeping the shards and parking on the
-    /// completion gate in between, until `timeout` elapses. Extra
-    /// completions a sweep returns are spilled for the next call, so no
-    /// completion is ever dropped by the one-at-a-time API. A timeout
-    /// too large to represent as a deadline (e.g. `Duration::MAX`)
-    /// waits forever, matching the channel API this replaced.
-    pub fn recv_timeout(&self, timeout: Duration) -> Option<Completion> {
-        let deadline = Instant::now().checked_add(timeout);
-        let mut swept = Vec::new();
-        loop {
-            let seen = self.gate.epoch();
-            if let Some(c) = self.try_recv_swept(&mut swept) {
-                return Some(c);
-            }
-            let remaining = match deadline {
-                Some(d) => {
-                    let now = Instant::now();
-                    if now >= d {
-                        return None;
-                    }
-                    d - now
-                }
-                None => Duration::MAX,
-            };
-            self.gate.wait(seen, remaining);
-        }
-    }
-
-    /// Non-blocking: pop one completion if any invoker has published
-    /// one (or a previous sweep spilled one).
-    pub fn try_recv(&self) -> Option<Completion> {
-        self.try_recv_swept(&mut Vec::new())
-    }
-
-    fn try_recv_swept(&self, swept: &mut Vec<Completion>) -> Option<Completion> {
-        // Serve from the spill first — popping one element, not
-        // round-tripping the whole backlog through `swept` (sequential
-        // one-at-a-time consumption stays O(1) per pop). The spill is
-        // shared state behind a mutex, with `spill_len` maintained
-        // under that same lock, so completions one caller spilled are
-        // visible to every other collector — batch sweeps included.
-        {
-            let mut spill = self.spill.lock().unwrap_or_else(|e| e.into_inner());
-            if let Some(c) = spill.pop_front() {
-                self.spill_len.store(spill.len(), Ordering::Release);
-                return Some(c);
-            }
-        }
-        swept.clear();
-        let start = self.collect_cursor.0.fetch_add(1, Ordering::Relaxed);
-        if self.drain_shards(swept, start, ANON_COLLECTOR) == 0 {
-            return None;
-        }
-        let mut it = swept.drain(..);
-        let first = it.next();
-        let mut spill = self.spill.lock().unwrap_or_else(|e| e.into_inner());
-        spill.extend(it);
-        self.spill_len.store(spill.len(), Ordering::Release);
-        first
-    }
-
-    /// Submit an invocation of `action` with routing key `key`. Returns
-    /// the admission (id + any shaper delay), or the shed reason.
+    /// Submit one invocation of `action` with routing key `key`: a
+    /// burst of one through [`invoke_burst`](Gateway::invoke_burst).
+    /// Returns the admission (id + any shaper delay), or the shed
+    /// reason. Submitters on a hot loop should batch through
+    /// `invoke_burst` with a held [`BurstScratch`] instead.
     pub fn invoke(&self, action: ActionId, key: u64) -> Result<Admit, Shed> {
-        self.invoke_at(action, key, Instant::now())
+        let mut out = Vec::with_capacity(1);
+        self.invoke_burst(
+            &[(action, key)],
+            Instant::now(),
+            &mut out,
+            &mut BurstScratch::default(),
+        );
+        out[0]
     }
 
-    /// [`invoke`](Gateway::invoke) with a caller-supplied admission
-    /// timestamp, so a submitter batching arrivals into bursts pays one
-    /// clock read per burst instead of one per request. `produced_at`
-    /// seeds the queue-wait/total latency accounting *and* the token
-    /// bucket's clock; callers must pass a recent instant (the harness
-    /// reads the clock once per burst).
-    pub fn invoke_at(
-        &self,
-        action: ActionId,
-        key: u64,
-        produced_at: Instant,
-    ) -> Result<Admit, Shed> {
-        if !self.actions.try_admit(action) {
-            self.counters
-                .shed_action_saturated
-                .fetch_add(1, Ordering::Relaxed);
-            if let Some(t) = &self.telem {
-                t.note_shed(action.0 as usize, Shed::ActionSaturated);
-            }
-            return Err(Shed::ActionSaturated);
-        }
-        let (delay, shard, charged) = match self.shaper.admit(produced_at) {
-            Shape::Admit { delay, cost, shard } => (delay, shard, cost),
-            Shape::Shed => {
-                self.actions.release(action);
-                self.counters
-                    .shed_delay_budget
-                    .fetch_add(1, Ordering::Relaxed);
-                if let Some(t) = &self.telem {
-                    t.note_shed(action.0 as usize, Shed::DelayBudget);
-                }
-                return Err(Shed::DelayBudget);
-            }
-        };
-        // Produce under the shard's read lock (no target clone): the
-        // queue's own mutex still serializes with the owner's drain, so
-        // the close-vs-produce atomicity is untouched.
-        let mut id = 0;
-        let produced = self.router.with_pick(key, |target| {
-            id = self.next_request.fetch_add(1, Ordering::Relaxed);
-            let req = Request { id, action, key };
-            target
-                .queue
-                .produce(req, produced_at, self.cfg.queue_capacity)
-        });
-        let Some(produced) = produced else {
-            // Structural shed after the shaper said yes: return the
-            // charge, or a plane shedding NoInvoker/QueueFull would
-            // accumulate phantom bucket debt for work that never
-            // entered a queue.
-            self.shaper.refund(shard, charged);
-            self.actions.release(action);
-            self.counters
-                .shed_no_invoker
-                .fetch_add(1, Ordering::Relaxed);
-            if let Some(t) = &self.telem {
-                t.note_shed(action.0 as usize, Shed::NoInvoker);
-            }
-            return Err(Shed::NoInvoker);
-        };
-        match produced {
-            Produce::Ok(_) => {}
-            Produce::Full(_) => {
-                self.shaper.refund(shard, charged);
-                self.actions.release(action);
-                self.counters
-                    .shed_queue_full
-                    .fetch_add(1, Ordering::Relaxed);
-                if let Some(t) = &self.telem {
-                    t.note_shed(action.0 as usize, Shed::QueueFull);
-                }
-                return Err(Shed::QueueFull);
-            }
-            Produce::Closed(req) => {
-                // Stale route: the target started draining after the
-                // pick. The fast lane is the lossless fallback; it is
-                // only ever closed once every invoker is gone, in which
-                // case we shed instead.
-                let env = Envelope {
-                    offset: 0,
-                    produced_at,
-                    req,
-                };
-                if self.fast.produce_moved(env).is_err() {
-                    self.shaper.refund(shard, charged);
-                    self.actions.release(action);
-                    self.counters
-                        .shed_no_invoker
-                        .fetch_add(1, Ordering::Relaxed);
-                    if let Some(t) = &self.telem {
-                        t.note_shed(action.0 as usize, Shed::NoInvoker);
-                    }
-                    return Err(Shed::NoInvoker);
-                }
-                self.counters.fastlane_moves.fetch_add(1, Ordering::Relaxed);
-                if let Some(t) = &self.telem {
-                    t.fastlane_moves.inc();
-                }
-            }
-        }
-        self.counters.accepted.fetch_add(1, Ordering::Relaxed);
-        if !delay.is_zero() {
-            self.counters.delayed.fetch_add(1, Ordering::Relaxed);
-        }
-        if let Some(t) = &self.telem {
-            t.accepted.inc(action.0 as usize);
-            if !delay.is_zero() {
-                t.delayed.inc(action.0 as usize);
-            }
-        }
-        Ok(Admit { id, delay })
-    }
-
-    /// Convenience: route by an action's name hash (paper §II routing).
-    pub fn invoke_named(&self, action: ActionId) -> Result<Admit, Shed> {
-        self.invoke(action, mix64(action.0 as u64))
-    }
-
-    /// Submit a burst of invocations sharing one admission timestamp.
-    /// Each request is admission-checked, shaped and routed
-    /// individually (same shed semantics as
-    /// [`invoke_at`](Gateway::invoke_at)), but the requests bound for
+    /// Submit a burst of invocations sharing one admission timestamp —
+    /// the one submit path. Each request is admission-checked, shaped
+    /// and routed individually, but the requests bound for
     /// one invoker are produced to its queue as a **single group** —
     /// one lock acquisition and at most one consumer wake per target
     /// queue per burst, instead of one per request. On an
@@ -1271,10 +915,13 @@ impl Gateway {
     /// not once per call (the old per-call allocation was a measured
     /// residual at small burst sizes).
     ///
-    /// The close-vs-produce atomicity is unchanged: a group refused by
-    /// a draining target is rerouted to the fast lane exactly like a
-    /// raced single produce, so exactly-once holds at any burst size
-    /// (the drain-stress matrix submits through both paths).
+    /// `produced_at` seeds the queue-wait/total latency accounting
+    /// *and* the token bucket's clock; callers must pass a recent
+    /// instant (the harness reads the clock once per burst).
+    ///
+    /// Close-vs-produce atomicity: a group refused by a draining target
+    /// is rerouted to the fast lane, so exactly-once holds at any burst
+    /// size (the drain-stress matrix submits bursts of one and more).
     pub fn invoke_burst(
         &self,
         reqs: &[(ActionId, u64)],
@@ -1349,10 +996,7 @@ impl Gateway {
         } = scratch;
         for bucket in &buckets[..*used] {
             let target = bucket.target.as_ref().expect("used bucket has a target");
-            match target
-                .queue
-                .produce_batch(&bucket.reqs, produced_at, self.cfg.queue_capacity)
-            {
+            match target.queue.produce_batch(&bucket.reqs, produced_at) {
                 ProduceBatch::Admitted(n) => {
                     accepted += n as u64;
                     for (&i, &(shard, charged)) in bucket.idx[n..].iter().zip(&bucket.costs[n..]) {

@@ -42,10 +42,10 @@ pub struct HarnessConfig {
     pub stall_timeout: Duration,
     /// Submitter-side batching: up to this many due arrivals are
     /// admitted per burst with **one** clock read shared as their
-    /// admission timestamp. 1 reproduces the per-arrival submit loop.
+    /// admission timestamp. 1 submits each arrival as a burst of one.
     pub submit_batch: usize,
-    /// Parallel submitter threads. 1 (the default) is the historical
-    /// single-threaded loop, byte-for-byte. N > 1 partitions the
+    /// Parallel submitter threads. 1 (the default) runs the
+    /// single-threaded loop on the calling thread. N > 1 partitions the
     /// arrival stream **by action hash** across N scoped threads — all
     /// invocations of one action go through one submitter, so per-action
     /// ordering and per-action row sums match the single-threaded
@@ -242,7 +242,7 @@ fn empty_report(gw: &Gateway, n_actions: u32) -> LoadReport {
     }
 }
 
-/// The historical single-threaded submit/collect loop.
+/// The single-threaded submit/collect loop on the calling thread.
 fn run_load_single(gw: &Gateway, arrivals: &[Arrival], cfg: &HarnessConfig) -> LoadReport {
     let n_actions = gw.actions().len() as u32;
     // Registry mode: a start-of-run snapshot; every tally comes from
@@ -257,6 +257,7 @@ fn run_load_single(gw: &Gateway, arrivals: &[Arrival], cfg: &HarnessConfig) -> L
     let mut inflight = 0usize;
     let mut next = 0usize;
     let mut last_progress = Instant::now();
+    let mut col = gw.collector();
     let mut buf: Vec<crate::gateway::Completion> = Vec::with_capacity(submit_batch.max(64));
     let mut burst_reqs: Vec<(ActionId, u64)> = Vec::with_capacity(submit_batch);
     let mut burst_out: Vec<Result<crate::gateway::Admit, Shed>> = Vec::with_capacity(submit_batch);
@@ -265,18 +266,15 @@ fn run_load_single(gw: &Gateway, arrivals: &[Arrival], cfg: &HarnessConfig) -> L
     let mut scratch = BurstScratch::default();
 
     loop {
-        // Fold in everything already completed: one non-blocking
-        // round-robin sweep over the per-invoker completion shards. A
-        // completion with no submission of ours outstanding is a stray
-        // from traffic that predates this run (the caller invoked the
+        // Fold in everything already completed — what the previous
+        // turn's blocking wait caught plus one non-blocking round-robin
+        // sweep over the per-invoker completion shards. A completion
+        // with no submission of ours outstanding is a stray from
+        // traffic that predates this run (the caller invoked the
         // gateway directly and did not collect its completions); it is
         // discarded rather than corrupting this run's accounting.
-        buf.clear();
-        // Gate epoch *before* the sweep: a completion published while we
-        // sweep bumps the epoch, so the park below returns immediately
-        // instead of sleeping through it.
-        let epoch = gw.completion_epoch();
-        let collected = gw.collect_completions(&mut buf);
+        gw.collect_completions_with(&mut col, &mut buf);
+        let collected = buf.len();
         if collected > 0 {
             for c in &buf {
                 if inflight > 0 {
@@ -286,6 +284,7 @@ fn run_load_single(gw: &Gateway, arrivals: &[Arrival], cfg: &HarnessConfig) -> L
                     inflight -= 1;
                 }
             }
+            buf.clear();
             last_progress = Instant::now();
         }
         if next < arrivals.len() {
@@ -302,21 +301,6 @@ fn run_load_single(gw: &Gateway, arrivals: &[Arrival], cfg: &HarnessConfig) -> L
                     arrivals[next..].partition_point(|a| a.at.as_secs_f64() <= sim_now)
                 };
                 let burst = due.min(window).min(submit_batch);
-                if burst == 1 {
-                    // Degenerate burst: skip the grouping machinery
-                    // (this is also the submit_batch == 1 compatibility
-                    // shape — the old per-arrival submit loop).
-                    let a = arrivals[next];
-                    next += 1;
-                    let action = ActionId(a.function as u32 % n_actions);
-                    let outcome = gw.invoke_at(action, a.function as u64, now);
-                    inflight += if registry_mode {
-                        usize::from(outcome.is_ok())
-                    } else {
-                        note_submission(&mut report, action, &outcome)
-                    };
-                    continue;
-                }
                 if burst > 0 {
                     burst_reqs.clear();
                     burst_out.clear();
@@ -347,9 +331,10 @@ fn run_load_single(gw: &Gateway, arrivals: &[Arrival], cfg: &HarnessConfig) -> L
                     break; // lost requests; report.lost() will be nonzero
                 }
                 // Park on the completion gate instead of poll-sleeping:
-                // an invoker flush wakes us the moment work lands, and
-                // the cap (shrunk to the next due arrival) keeps the
-                // schedule honest when completions are slow.
+                // an invoker flush wakes us the moment work lands (the
+                // next turn folds it in), and the cap (shrunk to the
+                // next due arrival) keeps the schedule honest when
+                // completions are slow.
                 let mut park = Duration::from_millis(1);
                 if next < arrivals.len() && cfg.speedup > 0.0 {
                     let due_in =
@@ -358,7 +343,7 @@ fn run_load_single(gw: &Gateway, arrivals: &[Arrival], cfg: &HarnessConfig) -> L
                         park = park.min(Duration::from_secs_f64(due_in));
                     }
                 }
-                gw.wait_completions(epoch, park);
+                gw.collect_wait(&mut col, &mut buf, park);
             }
         } else {
             // Ahead of the schedule (speedup > 0 here, or we'd have
@@ -531,15 +516,17 @@ fn submitter_loop(
     let mut burst_out: Vec<Result<crate::gateway::Admit, Shed>> = Vec::with_capacity(submit_batch);
     let mut scratch = BurstScratch::default();
     loop {
-        buf.clear();
-        let epoch = gw.completion_epoch();
-        let collected = gw.collect_completions_with(&mut col, &mut buf);
+        // What the previous turn's blocking wait caught, plus one
+        // non-blocking sweep.
+        gw.collect_completions_with(&mut col, &mut buf);
+        let collected = buf.len();
         if collected > 0 {
             if let Some((lat, wait)) = &local_hists {
                 for c in &buf {
                     record(&mut report, c, lat, wait);
                 }
             }
+            buf.clear();
             dec_clamped(&shared.inflight, collected);
             shared
                 .progress_ns
@@ -625,7 +612,7 @@ fn submitter_loop(
                     park = park.min(Duration::from_secs_f64(due_in));
                 }
             }
-            gw.wait_completions(epoch, park);
+            gw.collect_wait(&mut col, &mut buf, park);
         }
     }
     if let Some((lat, wait)) = &local_hists {
@@ -835,8 +822,8 @@ mod tests {
 
     #[test]
     fn submit_batch_one_matches_per_arrival_submission() {
-        // The batched submitter at batch size 1 is the old per-arrival
-        // loop; a run with it stays lossless and accounts every arrival.
+        // Batch size 1 submits every arrival as a burst of one; a run
+        // with it stays lossless and accounts every arrival.
         let gw = plane(2, 4);
         let arrivals = PoissonLoadGen::new(3_000.0, 4).arrivals(SimDuration::from_millis(100), 11);
         let mut r = run_load(

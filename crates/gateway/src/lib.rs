@@ -13,9 +13,12 @@
 //!   cold-start/keep-alive parameters and per-action in-flight caps;
 //! * [`route`] — a sharded, epoch-swapped routing table: the invoke hot
 //!   path takes one shard-local read lock, never a global one;
-//! * [`queue`] — per-invoker MPSC work queues plus the shared fast
-//!   lane, with the offset/`produced_at` semantics of `crates/mq`
-//!   (differentially tested against it);
+//! * [`ring`] — the per-invoker home queues: bounded lock-free MPSC
+//!   rings with the offset/`produced_at` semantics of `crates/mq`;
+//! * [`queue`] — [`WorkQueue`], the shared MPMC fast lane every invoker
+//!   drains first (and the rings' differential oracle in tests), plus
+//!   the request/envelope types; both queues are differentially tested
+//!   against `mq::Broker`;
 //! * [`pool`] — thread-private warm-container pools: cold-start
 //!   penalty, keep-alive eviction, LRU under capacity pressure;
 //! * [`admission`] — admission *shaping*: the default hard-shed policy,
@@ -24,15 +27,21 @@
 //!   shed cliff under overload and capacity dips);
 //! * [`gateway`] — admission control, the invoker threads with the
 //!   paper's §III-C fast-lane-first drain protocol (draining up to
-//!   `drain_batch` envelopes per lock), per-invoker **completion
+//!   `drain_batch` envelopes per pop), per-invoker **completion
 //!   shards** (single-producer lock-free segment stacks behind an
 //!   epoch-published shard table, swept round-robin by any number of
-//!   concurrent collectors without a mutex), and graceful sigterm/join
-//!   lifecycle;
+//!   concurrent [`Collector`]s without a mutex), and graceful
+//!   sigterm/join lifecycle. One submit path
+//!   ([`Gateway::invoke_burst`], with [`Gateway::invoke`] as its
+//!   one-request wrapper) and one collect path (a [`Collector`] through
+//!   [`Gateway::collect_completions_with`] or the blocking
+//!   [`Gateway::collect_wait`]);
 //! * [`lease`] — capacity leases: wall-clock [`LeasePlan`]s compiled
 //!   from `cluster::CapacityTrace` availability streams (or generated
 //!   as seeded synthetic churn), with per-lease deadlines, a
 //!   concurrency cap and a pinned routable floor;
+//! * [`source`] — the [`LeaseSource`] trait the controller consumes:
+//!   plan replay ([`PlanSource`]) or a live DES-driven source;
 //! * [`controller`] — the [`CapacityController`] that executes a plan:
 //!   grants start invokers, deadlines trigger drains *ahead* of the
 //!   revoke (§III-C's grace window), revokes reap — the lease-driven

@@ -1,5 +1,9 @@
-//! The live plane's message substrate: per-invoker MPSC work queues and
-//! the shared MPMC fast lane.
+//! The live plane's message substrate: the request/envelope types every
+//! queue speaks, and [`WorkQueue`] — the shared MPMC fast lane every
+//! invoker consumes. Per-invoker home queues are the lock-free
+//! [`RingQueue`](crate::ring::RingQueue); `WorkQueue` is also their
+//! differential oracle in `tests/ring_equiv.rs` and
+//! `tests/batch_equiv.rs`.
 //!
 //! Semantics deliberately mirror `crates/mq`'s `Broker` (the DES-plane
 //! Kafka model), so the two planes implement *one* protocol:

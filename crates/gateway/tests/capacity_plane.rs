@@ -4,14 +4,31 @@
 //! retirement on revoked leases, and the token-bucket admission slope
 //! against the hard-shed cliff.
 
+mod common;
+
+use common::collect_n;
 use gateway::{
-    ActionBody, ActionId, ActionSpec, AdmissionPolicy, CapacityController, ControllerConfig,
-    Gateway, GatewayConfig, HarnessConfig, LeasePlan, Shed, TokenBucketCfg,
+    ActionBody, ActionId, ActionSpec, AdmissionPolicy, Admit, BurstScratch, CapacityController,
+    ControllerConfig, Gateway, GatewayConfig, HarnessConfig, LeasePlan, Shed, TokenBucketCfg,
 };
 use simcore::SimDuration;
 use std::sync::atomic::Ordering;
 use std::time::{Duration, Instant};
 use workload::{IdleModel, PoissonLoadGen};
+
+/// One submission stamped with a caller-fixed admission instant (a
+/// burst of one), so a loop can hold the shaper's clock still.
+fn submit_at(
+    gw: &Gateway,
+    scratch: &mut BurstScratch,
+    action: ActionId,
+    key: u64,
+    at: Instant,
+) -> Result<Admit, Shed> {
+    let mut out = Vec::with_capacity(1);
+    gw.invoke_burst(&[(action, key)], at, &mut out, scratch);
+    out[0]
+}
 
 /// The paper's headline scenario, live: a day-profile availability
 /// trace (time-compressed) churns the invoker pool from a background
@@ -94,10 +111,7 @@ fn revoked_lease_retires_warm_containers() {
         for i in 0..8u64 {
             gw.invoke(ActionId((i % 2) as u32), i).expect("accepted");
         }
-        for _ in 0..8 {
-            gw.recv_timeout(Duration::from_secs(10))
-                .expect("completion");
-        }
+        collect_n(&gw, &mut gw.collector(), 8);
         // Containers are checked in and warm; the revoke drains the
         // invoker, which must retire them.
         ctl.poll(t0 + Duration::from_millis(10));
@@ -207,22 +221,24 @@ fn structural_sheds_do_not_accrue_bucket_debt() {
         vec![ActionSpec::noop("f")],
     );
     let now = Instant::now();
+    let mut scratch = BurstScratch::default();
     // Far more refused submissions than burst + budget could absorb,
     // under a frozen clock: each charge must be returned.
     for i in 0..200u64 {
-        assert_eq!(gw.invoke_at(ActionId(0), i, now), Err(Shed::NoInvoker));
+        assert_eq!(
+            submit_at(&gw, &mut scratch, ActionId(0), i, now),
+            Err(Shed::NoInvoker)
+        );
     }
     gw.start_invoker();
-    let admit = gw
-        .invoke_at(ActionId(0), 0, now)
+    let admit = submit_at(&gw, &mut scratch, ActionId(0), 0, now)
         .expect("no phantom debt after refunded sheds");
     assert!(
         admit.delay.is_zero(),
         "first real admission charged {:?} of leftover debt",
         admit.delay
     );
-    gw.recv_timeout(Duration::from_secs(10))
-        .expect("completion");
+    collect_n(&gw, &mut gw.collector(), 1);
     assert_eq!(gw.shutdown(), 0);
 }
 
@@ -244,12 +260,13 @@ fn delay_budget_shed_is_typed_and_scoped_to_the_policy() {
     assert!(gw.admission_shaping());
     gw.start_invoker();
     let now = Instant::now();
+    let mut scratch = BurstScratch::default();
     // Burst far past rate + burst + budget with a frozen timestamp: the
     // tail must shed on the delay budget (4 free + 5 budgeted + slack).
     let mut delay_sheds = 0;
     let mut max_delay_seen = Duration::ZERO;
     for i in 0..64u64 {
-        match gw.invoke_at(ActionId(0), i, now) {
+        match submit_at(&gw, &mut scratch, ActionId(0), i, now) {
             Ok(admit) => max_delay_seen = max_delay_seen.max(admit.delay),
             Err(Shed::DelayBudget) => delay_sheds += 1,
             Err(other) => panic!("unexpected shed {other:?}"),
@@ -267,9 +284,6 @@ fn delay_budget_shed_is_typed_and_scoped_to_the_policy() {
     assert!(gw.counters().delayed.load(Ordering::Relaxed) > 0);
     // Everything admitted still completes.
     let accepted = 64 - delay_sheds;
-    for _ in 0..accepted {
-        gw.recv_timeout(Duration::from_secs(10))
-            .expect("completion");
-    }
+    collect_n(&gw, &mut gw.collector(), accepted as usize);
     assert_eq!(gw.shutdown(), 0);
 }

@@ -100,6 +100,7 @@ fn run_sharded_iteration(seed: u64, n_sub: usize) {
     const RATE: f64 = 1_000.0;
     const BURST: f64 = 48.0;
     const MAX_DELAY: Duration = Duration::from_millis(10);
+    // The gateway's fixed admission shard count.
     const SHARDS: usize = 4;
     let mut rng = SimRng::seed_from_u64(seed ^ 0x5bd1_e995 ^ ((n_sub as u64) << 48));
     let n_requests = 300 + rng.index(200);
@@ -113,7 +114,6 @@ fn run_sharded_iteration(seed: u64, n_sub: usize) {
                 burst: BURST,
                 max_delay: MAX_DELAY,
             }),
-            admission_shards: SHARDS,
             ..Default::default()
         },
         vec![
@@ -209,8 +209,7 @@ fn run_sharded_iteration(seed: u64, n_sub: usize) {
             let deadline = Instant::now() + Duration::from_secs(20);
             loop {
                 buf.clear();
-                let epoch = gw.completion_epoch();
-                let got = gw.collect_completions_with(&mut col, &mut buf);
+                let got = gw.collect_wait(&mut col, &mut buf, Duration::from_millis(1));
                 if got > 0 {
                     collected_total.fetch_add(got, Ordering::AcqRel);
                     continue;
@@ -227,7 +226,6 @@ fn run_sharded_iteration(seed: u64, n_sub: usize) {
                     collected_total.load(Ordering::Relaxed),
                     accepted_total.load(Ordering::Relaxed),
                 );
-                gw.wait_completions(epoch, Duration::from_millis(1));
             }
         });
         let per_sub: Vec<(usize, usize, HashSet<u64>)> = sub_handles
@@ -395,8 +393,7 @@ fn run_matrix_iteration(seed: u64, n_sub: usize, n_col: usize) {
                     let deadline = Instant::now() + Duration::from_secs(20);
                     loop {
                         buf.clear();
-                        let epoch = gw.completion_epoch();
-                        let got = gw.collect_completions_with(&mut col, &mut buf);
+                        let got = gw.collect_wait(&mut col, &mut buf, Duration::from_millis(1));
                         if got > 0 {
                             ids.extend(buf.iter().map(|c| c.id));
                             collected_total.fetch_add(got, Ordering::AcqRel);
@@ -417,7 +414,6 @@ fn run_matrix_iteration(seed: u64, n_sub: usize, n_col: usize) {
                             collected_total.load(Ordering::Relaxed),
                             accepted_total.load(Ordering::Relaxed),
                         );
-                        gw.wait_completions(epoch, Duration::from_millis(1));
                     }
                     ids
                 })
@@ -464,7 +460,11 @@ fn run_matrix_iteration(seed: u64, n_sub: usize, n_col: usize) {
     assert!(ctl_stats.grants >= 1, "plan granted nothing: {ctl_stats:?}");
     assert_eq!(gw.shutdown(), 0, "seed {seed} {n_sub}sub/{n_col}col");
     assert_eq!(gw.counters().outstanding(), 0);
-    assert!(gw.try_recv().is_none(), "stray completion");
+    assert_eq!(
+        gw.collect_completions_with(&mut gw.collector(), &mut Vec::new()),
+        0,
+        "stray completion"
+    );
     let pools = gw.retired_pool_stats();
     assert!(pools.containers_conserved(), "container leak: {pools:?}");
 }
@@ -561,8 +561,11 @@ fn run_iteration(seed: u64, drain_batch: usize) {
     // Collect every completion; exactly-once means the completed set
     // equals the accepted set with no duplicates.
     let mut completed = HashSet::new();
+    let mut col = gw.collector();
+    let mut buf = Vec::new();
     while completed.len() < accepted.len() {
-        let c = gw.recv_timeout(Duration::from_secs(10)).unwrap_or_else(|| {
+        buf.clear();
+        if gw.collect_wait(&mut col, &mut buf, Duration::from_secs(10)) == 0 {
             panic!(
                 "seed {seed} batch {drain_batch}: lost {} of {} accepted requests ({} shed, {:?})",
                 accepted.len() - completed.len(),
@@ -570,17 +573,19 @@ fn run_iteration(seed: u64, drain_batch: usize) {
                 shed,
                 ctl.stats(),
             )
-        });
-        assert!(
-            completed.insert(c.id),
-            "seed {seed} batch {drain_batch}: request {} executed twice",
-            c.id
-        );
-        assert!(
-            accepted.contains(&c.id),
-            "seed {seed} batch {drain_batch}: completion for unknown request {}",
-            c.id
-        );
+        }
+        for c in &buf {
+            assert!(
+                completed.insert(c.id),
+                "seed {seed} batch {drain_batch}: request {} executed twice",
+                c.id
+            );
+            assert!(
+                accepted.contains(&c.id),
+                "seed {seed} batch {drain_batch}: completion for unknown request {}",
+                c.id
+            );
+        }
     }
     assert_eq!(completed, accepted, "seed {seed} batch {drain_batch}");
     let stats = ctl.finish();
@@ -593,8 +598,9 @@ fn run_iteration(seed: u64, drain_batch: usize) {
         0,
         "seed {seed} batch {drain_batch}"
     );
-    assert!(
-        gw.try_recv().is_none(),
+    assert_eq!(
+        gw.collect_completions_with(&mut col, &mut buf),
+        0,
         "seed {seed} batch {drain_batch}: stray completion"
     );
     // Container conservation: with every invoker joined, each container

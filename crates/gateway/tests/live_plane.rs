@@ -3,7 +3,10 @@
 //! was retired onto this crate), plus the subsystems it did not have —
 //! admission control, warm pools, per-action caps, real kernels.
 
-use gateway::{ActionBody, ActionId, ActionSpec, Gateway, GatewayConfig, Shed};
+mod common;
+
+use common::collect_n;
+use gateway::{ActionBody, ActionId, ActionSpec, Completion, Gateway, GatewayConfig, Shed};
 use sebs::{Graph, Kernel};
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
@@ -18,9 +21,8 @@ fn noop_plane(n_actions: usize) -> Gateway {
     )
 }
 
-fn recv(gw: &Gateway) -> gateway::Completion {
-    gw.recv_timeout(Duration::from_secs(10))
-        .expect("completion within 10s")
+fn recv_one(gw: &Gateway) -> Completion {
+    collect_n(gw, &mut gw.collector(), 1)[0]
 }
 
 #[test]
@@ -28,7 +30,7 @@ fn basic_invocation_roundtrip() {
     let gw = noop_plane(1);
     let inv = gw.start_invoker();
     let id = gw.invoke(ActionId(0), 7).expect("accepted").id;
-    let c = recv(&gw);
+    let c = recv_one(&gw);
     assert_eq!(c.id, id);
     assert_eq!(c.invoker, inv.id);
     assert_eq!(c.action, ActionId(0));
@@ -49,7 +51,7 @@ fn rejects_with_no_invokers() {
     // The accepted request either completed before the drain or sits in
     // the fast lane; a late-arriving invoker picks it up.
     gw.start_invoker();
-    let _ = recv(&gw);
+    recv_one(&gw);
     assert_eq!(gw.shutdown(), 0);
 }
 
@@ -71,8 +73,7 @@ fn drain_hands_off_backlog_no_request_lost() {
     assert!(gw.sigterm(t1));
     gw.join_invoker(t1);
     let mut done = HashSet::new();
-    while done.len() < 200 {
-        let c = recv(&gw);
+    for c in collect_n(&gw, &mut gw.collector(), 200) {
         assert!(done.insert(c.id), "duplicate execution of {}", c.id);
     }
     assert_eq!(done, ids);
@@ -90,8 +91,8 @@ fn work_spreads_over_healthy_invokers() {
         gw.invoke(ActionId((i % 4) as u32), i).unwrap();
     }
     let mut by_invoker: HashMap<u64, usize> = HashMap::new();
-    for _ in 0..400 {
-        *by_invoker.entry(recv(&gw).invoker).or_insert(0) += 1;
+    for c in collect_n(&gw, &mut gw.collector(), 400) {
+        *by_invoker.entry(c.invoker).or_insert(0) += 1;
     }
     assert_eq!(by_invoker.values().sum::<usize>(), 400);
     // Hash routing over 400 distinct keys: every invoker sees work.
@@ -112,8 +113,8 @@ fn sequential_drains_leave_last_invoker_serving() {
         gw.join_invoker(*t);
     }
     let mut done = HashSet::new();
-    while done.len() < 90 {
-        assert!(done.insert(recv(&gw).id));
+    for c in collect_n(&gw, &mut gw.collector(), 90) {
+        assert!(done.insert(c.id));
     }
     assert_eq!(done, ids);
     assert_eq!(gw.n_healthy(), 1);
@@ -157,9 +158,7 @@ fn admission_sheds_on_queue_overload_and_never_loses_accepted() {
     }
     assert!(shed > 0, "a bounded queue must shed under this burst");
     assert!(accepted >= 8, "the bound admits up to the capacity");
-    for _ in 0..accepted {
-        recv(&gw);
-    }
+    collect_n(&gw, &mut gw.collector(), accepted as usize);
     assert_eq!(gw.shutdown(), 0);
     assert_eq!(
         gw.counters()
@@ -185,11 +184,11 @@ fn per_action_inflight_cap_sheds() {
     // admitted ones are still queued or executing on the single slow
     // invoker).
     assert_eq!(gw.invoke(ActionId(0), 3), Err(Shed::ActionSaturated));
-    recv(&gw);
-    recv(&gw);
+    let mut col = gw.collector();
+    collect_n(&gw, &mut col, 2);
     // Capacity released: admissible again.
     assert!(gw.invoke(ActionId(0), 4).is_ok());
-    recv(&gw);
+    collect_n(&gw, &mut col, 1);
     assert_eq!(gw.shutdown(), 0);
 }
 
@@ -201,7 +200,7 @@ fn cold_start_then_warm_reuse_per_invoker() {
     );
     gw.start_invoker();
     gw.invoke(ActionId(0), 1).unwrap();
-    let first = recv(&gw);
+    let first = recv_one(&gw);
     assert!(first.cold, "first placement cold-starts");
     assert!(
         first.service >= Duration::from_millis(20),
@@ -209,7 +208,7 @@ fn cold_start_then_warm_reuse_per_invoker() {
         first.service
     );
     gw.invoke(ActionId(0), 1).unwrap();
-    let second = recv(&gw);
+    let second = recv_one(&gw);
     assert!(!second.cold, "second placement reuses the warm container");
     assert!(second.service < Duration::from_millis(10));
     assert_eq!(gw.shutdown(), 0);
@@ -228,12 +227,12 @@ fn keepalive_expiry_forces_recold() {
     );
     gw.start_invoker();
     gw.invoke(ActionId(0), 1).unwrap();
-    assert!(recv(&gw).cold);
+    assert!(recv_one(&gw).cold);
     // Idle well past the keep-alive: the invoker's idle sweep retires
     // the warm container.
     std::thread::sleep(Duration::from_millis(60));
     gw.invoke(ActionId(0), 1).unwrap();
-    assert!(recv(&gw).cold, "keep-alive expiry evicts the container");
+    assert!(recv_one(&gw).cold, "keep-alive expiry evicts the container");
     assert_eq!(gw.shutdown(), 0);
     assert_eq!(gw.retired_pool_stats().keepalive_evictions, 1);
 }
@@ -254,10 +253,10 @@ fn sebs_kernels_serve_as_function_bodies() {
     for i in 0..30u64 {
         gw.invoke(ActionId((i % 3) as u32), i).unwrap();
     }
-    let mut values = Vec::new();
-    for _ in 0..30 {
-        values.push(recv(&gw).value);
-    }
+    let values: Vec<u64> = collect_n(&gw, &mut gw.collector(), 30)
+        .iter()
+        .map(|c| c.value)
+        .collect();
     // Real kernels return real results (BFS visits 300 vertices, MST
     // spans 299 edges, PageRank converges).
     assert!(values.iter().all(|v| *v > 0));
@@ -281,8 +280,6 @@ fn route_epoch_bumps_on_membership_changes_only() {
     // A replacement invoker serves whatever the drain moved to the fast
     // lane, so all 50 still complete.
     gw.start_invoker();
-    for _ in 0..50 {
-        recv(&gw);
-    }
+    collect_n(&gw, &mut gw.collector(), 50);
     assert_eq!(gw.shutdown(), 0);
 }

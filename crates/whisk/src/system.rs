@@ -293,7 +293,11 @@ impl WhiskSys {
         let inv = self.invokers.get_mut(&id).expect("just checked");
         let topic = inv.topic;
         let buffered: Vec<ActivationId> = inv.buffer.drain(..).collect();
-        let running: Vec<ActivationId> = inv.running.iter().copied().collect();
+        // Sorted: `running` is a hash set, and the re-fire order below
+        // decides the fast-lane order, which must not depend on the
+        // set's per-instance hash keys.
+        let mut running: Vec<ActivationId> = inv.running.iter().copied().collect();
+        running.sort_unstable();
         let moved = self.broker.move_all(topic, self.fast_lane, now);
         self.counters.moved_to_fastlane += moved as u64;
 

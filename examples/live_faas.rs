@@ -85,10 +85,13 @@ fn main() {
 
     let mut per_invoker = std::collections::BTreeMap::new();
     let mut cold = 0u64;
-    for _ in 0..accepted {
-        let c = gw
-            .recv_timeout(Duration::from_secs(60))
-            .expect("no request may be lost");
+    let mut col = gw.collector();
+    let mut done = Vec::new();
+    while (done.len() as u64) < accepted {
+        let got = gw.collect_wait(&mut col, &mut done, Duration::from_secs(60));
+        assert!(got > 0, "no request may be lost");
+    }
+    for c in &done {
         *per_invoker.entry(c.invoker).or_insert(0u32) += 1;
         cold += c.cold as u64;
     }

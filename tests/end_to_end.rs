@@ -148,6 +148,36 @@ fn reports_are_deterministic_per_seed() {
 }
 
 #[test]
+fn drain_heavy_day_reports_are_identical_within_one_process() {
+    // Two runs of one seed must agree on every report field, not just a
+    // couple of counters. Pilot preemptions drain invokers while
+    // interruptible activations run; the drain re-fires them through
+    // the fast lane, and that order must not depend on a per-process
+    // hash seed (each `HashSet` draws fresh keys, even in one process).
+    let trace = small_day();
+    let run = || {
+        let mut cfg = DayConfig::fib_paper(3);
+        cfg.load = Some(ConstantRateLoadGen {
+            qps: 4.0,
+            n_functions: 25,
+        });
+        run_day(&trace, cfg)
+    };
+    let a = run();
+    assert!(
+        a.whisk_counters.refired > 0,
+        "the day must re-fire interrupted activations"
+    );
+    let b = run();
+    assert!(
+        format!("{a:?}") == format!("{b:?}"),
+        "reports differ; counters:\n{:?}\n{:?}",
+        a.whisk_counters,
+        b.whisk_counters
+    );
+}
+
+#[test]
 fn poll_reconstruction_roundtrips_through_facade() {
     let trace = small_day();
     let mut cfg = DayConfig::fib_paper(11);

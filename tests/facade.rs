@@ -78,8 +78,14 @@ fn live_gateway_via_facade() {
     );
     ctl.poll(t0);
     let id = gw.invoke(ActionId(0), 0).unwrap().id;
-    let c = gw.recv_timeout(std::time::Duration::from_secs(5)).unwrap();
-    assert_eq!(c.id, id);
+    let mut done = Vec::new();
+    gw.collect_wait(
+        &mut gw.collector(),
+        &mut done,
+        std::time::Duration::from_secs(5),
+    );
+    assert_eq!(done.len(), 1);
+    assert_eq!(done[0].id, id);
     let stats = ctl.finish();
     assert!(stats.grants >= 1);
     assert_eq!(gw.shutdown(), 0);
